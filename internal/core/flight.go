@@ -12,9 +12,9 @@ import (
 
 // Flight-recorder integration: Optimize snapshots what the negotiation knew
 // (identity, wall, the optimize span) into a flightCapture riding on the
-// Result; every execution finalizer — one-shot, streamed, and each recovery
-// re-run — then assembles the full dossier from the capture plus the
-// execution's own actuals and admits it. Re-runs of the same negotiation
+// Result; every execution finalizer — materialized, streamed, and each
+// recovery re-run — then assembles the full dossier from the capture plus
+// the execution's own actuals and admits it. Re-runs of the same negotiation
 // replace the earlier dossier (the recorder dedupes by ID), so the retained
 // capture always reflects the final outcome with the complete ledger chain.
 

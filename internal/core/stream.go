@@ -20,7 +20,7 @@ import (
 // (per-call timeout, retry, breaker — retries are safe because continuation
 // is idempotent per Seq), the same failure attribution that drives
 // standing-offer substitution recovery, and the same trace plumbing as the
-// one-shot fetch it replaces.
+// negotiation.
 
 // remoteStream is one open streamed fetch. It implements exec.RowStream; the
 // executor's Remote cursor pulls it and closes it (closing early sends the
@@ -169,8 +169,8 @@ func (s *remoteStream) Close() error {
 	return nil
 }
 
-// finish records the stream's single ledger fetch event — one per leaf, like
-// the one-shot path, with actuals accumulated across every batch.
+// finish records the stream's single ledger fetch event — one per leaf, with
+// actuals accumulated across every batch.
 func (s *remoteStream) finish(err error) {
 	if s.recorded {
 		return
@@ -189,9 +189,10 @@ func (s *remoteStream) finish(err error) {
 // prefetchStreams opens every remote leaf's stream concurrently — at most
 // `workers` opens in flight (0 = one per leaf) — so the sellers all start
 // executing and their first batches ship in parallel; the executor's
-// sequential walk then consumes the streams on demand. Streams are keyed and
-// queued FIFO like prefetchRemotes, so error attribution per leaf is
-// unchanged. The returned release func closes streams the walk never took
+// sequential walk then consumes the streams on demand. Streams are keyed by
+// (seller, SQL, offer) and queued FIFO, so a plan that buys the same offer
+// twice still opens (and accounts) one stream per leaf, and the walk
+// surfaces exactly the error of its own leaf's open. The returned release func closes streams the walk never took
 // (a failure elsewhere in the plan): their sellers' parked cursors are
 // freed instead of leaking until eviction.
 func prefetchStreams(remotes []*plan.Remote, workers int,

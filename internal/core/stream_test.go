@@ -7,14 +7,17 @@ import (
 	"testing"
 
 	"qtrade/internal/exec"
+	"qtrade/internal/expr"
 	"qtrade/internal/obs"
 	"qtrade/internal/trading"
 	"qtrade/internal/value"
 )
 
-// Streaming and one-shot delivery must purchase the same plans and produce
-// the same answers: the chunked fetch is a transport change, not a
-// semantics change.
+// Streamed delivery must produce the same answer as one-shot materialized
+// delivery of the same purchased plan: the chunked fetch is a transport
+// change, not a semantics change. The reference runs the plan through an
+// executor whose Fetch asks each seller for its whole answer in one
+// ExecReq.
 func TestStreamingFederationDifferential(t *testing.T) {
 	queries := []string{
 		paperQuery,
@@ -24,20 +27,41 @@ func TestStreamingFederationDifferential(t *testing.T) {
 	}
 	for _, q := range queries {
 		f := buildFederation(t, nil)
-		oneShot := athensCfg(f)
-		oneShot.FetchBatchRows = -1 // pre-streaming materializing fetch
-		_, plain := optimizeAndRunCfg(t, f, oneShot, q)
-
 		streamed := athensCfg(f)
 		streamed.FetchBatchRows = 2 // force multiple continuations per leaf
-		_, chunked := optimizeAndRunCfg(t, f, streamed, q)
+		res, chunked := optimizeAndRunCfg(t, f, streamed, q)
 
-		if strings.Join(plain, "|") != strings.Join(chunked, "|") {
+		comm := &NetComm{Net: f.net, SelfID: "athens"}
+		ref := &exec.Executor{Store: f.athens.Store(), Fetch: oneShotFetch(comm)}
+		out, err := ref.Run(res.Candidate.Root)
+		if err != nil {
+			t.Fatalf("%s: one-shot reference: %v", q, err)
+		}
+		if plain := rowsKey(out.Rows); strings.Join(plain, "|") != strings.Join(chunked, "|") {
 			t.Fatalf("%s\n  one-shot %v\n  streamed %v", q, plain, chunked)
 		}
 		if got := f.corfu.OpenCursors() + f.myc.OpenCursors(); got != 0 {
 			t.Fatalf("%s: %d seller cursors left parked", q, got)
 		}
+	}
+}
+
+// oneShotFetch resolves Remote leaves with the one-shot ExecReq: the seller
+// ships its whole answer in a single reply.
+func oneShotFetch(comm Comm) exec.FetchFunc {
+	return func(nodeID, sql, offerID string) (*exec.Result, error) {
+		resp, err := comm.Fetch(nodeID, trading.ExecReq{SQL: sql, OfferID: offerID})
+		if err != nil {
+			return nil, err
+		}
+		if resp.More || resp.Cursor != "" {
+			return nil, fmt.Errorf("one-shot reply from %s carries a continuation", nodeID)
+		}
+		cols := make([]expr.ColumnID, len(resp.Cols))
+		for i, c := range resp.Cols {
+			cols[i] = expr.ColumnID{Table: c.Table, Name: c.Name}
+		}
+		return &exec.Result{Cols: cols, Rows: resp.Rows}, nil
 	}
 }
 

@@ -149,10 +149,11 @@ func (ex *Executor) build(n plan.Node) (Cursor, error) {
 	return c, nil
 }
 
-// drain pulls a cursor to exhaustion, materializing its rows, and closes it.
-// Blocking operators (sort, aggregate, join build side) use it on their
-// inputs.
-func drain(c Cursor) ([]value.Row, error) {
+// Drain pulls an opened cursor to exhaustion, materializing its rows, and
+// closes it (also on error). Blocking operators (sort, aggregate, join build
+// side) use it on their inputs, Run on the whole plan, and sellers to answer
+// a request in one reply.
+func Drain(c Cursor) ([]value.Row, error) {
 	var rows []value.Row
 	for {
 		b, err := c.Next()
@@ -425,7 +426,7 @@ func (c *joinCursor) Open() error {
 	if err := c.r.Open(); err != nil {
 		return err
 	}
-	rRows, err := drain(c.r) // build side blocks; drained and released here
+	rRows, err := Drain(c.r) // build side blocks; drained and released here
 	if err != nil {
 		return err
 	}
@@ -546,7 +547,7 @@ func (c *blockingCursor) Next() ([]value.Row, error) {
 		return nil, nil
 	}
 	if c.res == nil {
-		rows, err := drain(c.in)
+		rows, err := Drain(c.in)
 		if err != nil {
 			return nil, err
 		}
@@ -572,6 +573,25 @@ type sliceBatcher struct {
 	rows  []value.Row
 	pos   int
 	batch int
+}
+
+// SliceCursor returns a Cursor that re-emits an already materialized answer
+// in batches of at most batch rows (DefaultBatchSize when batch <= 0), for
+// answers that have no operator pipeline of their own.
+func SliceCursor(rows []value.Row, batch int) Cursor {
+	if batch <= 0 {
+		batch = DefaultBatchSize
+	}
+	return &sliceBatcher{rows: rows, batch: batch}
+}
+
+func (s *sliceBatcher) Open() error { return nil }
+
+func (s *sliceBatcher) Next() ([]value.Row, error) { return s.next(), nil }
+
+func (s *sliceBatcher) Close() error {
+	s.pos = len(s.rows)
+	return nil
 }
 
 func (s *sliceBatcher) next() []value.Row {

@@ -36,8 +36,10 @@ type Result struct {
 // to recognize composite subcontracted offers.
 type FetchFunc func(nodeID, sql, offerID string) (*Result, error)
 
-// Executor runs plans against a store, fetching purchased answers via Fetch
-// (one-shot) or FetchStream (chunked).
+// Executor runs plans against a store, resolving Remote leaves through
+// FetchStream (chunked; the buyer's execution path) or, when that is nil,
+// through Fetch (one materialized answer per leaf; the baselines and the
+// materialized references of differential tests).
 type Executor struct {
 	Store *storage.Store
 	Fetch FetchFunc
@@ -119,19 +121,8 @@ func (ex *Executor) Run(n plan.Node) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []value.Row
-	for {
-		b, err := cur.Next()
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
-		if len(b) == 0 {
-			break
-		}
-		rows = append(rows, b...)
-	}
-	if err := cur.Close(); err != nil {
+	rows, err := Drain(cur)
+	if err != nil {
 		return nil, err
 	}
 	return &Result{Cols: n.Schema(), Rows: rows}, nil

@@ -378,3 +378,42 @@ func TestOpenFirstRowEarlyClose(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SliceCursor adapts materialized answers (subcontract assemblies) to the
+// cursor contract; its batching and termination behavior must hold on its
+// own.
+func TestSliceCursorContract(t *testing.T) {
+	rows := []value.Row{
+		{value.NewInt(1)}, {value.NewInt(2)}, {value.NewInt(3)},
+	}
+	c := SliceCursor(rows, 2)
+	if err := c.Open(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Next()
+	if err != nil || len(b) != 2 {
+		t.Fatalf("first batch: %v %v", b, err)
+	}
+	b, err = c.Next()
+	if err != nil || len(b) != 1 {
+		t.Fatalf("tail batch: %v %v", b, err)
+	}
+	if b, err = c.Next(); err != nil || b != nil {
+		t.Fatalf("exhausted cursor: %v %v", b, err)
+	}
+	c2 := SliceCursor(rows, 2)
+	if _, err := c2.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := c2.Next(); err != nil || b != nil {
+		t.Fatalf("closed cursor must be exhausted: %v %v", b, err)
+	}
+	// A non-positive batch falls back to the default instead of stalling.
+	all, err := Drain(SliceCursor(rows, 0))
+	if err != nil || len(all) != len(rows) {
+		t.Fatalf("default-batch drain: %v %v", all, err)
+	}
+}

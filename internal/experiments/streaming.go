@@ -5,8 +5,9 @@ package experiments
 // answer row and how much of the answer the buyer must hold at once. A
 // single-relation federation sweeps the result size and runs the same
 // purchased plan both ways — streamed through ExecuteResultStream (batched
-// continuations, nothing retained) and materialized through the
-// pre-streaming one-shot fetch (FetchBatchRows < 0). The claim to
+// continuations, nothing retained) and materialized through ExecuteResult
+// with a single unbounded batch per leaf (FetchBatchRows = math.MaxInt32,
+// so each seller ships its whole answer in the opening reply). The claim to
 // reproduce: stream_first_ms stays roughly flat as rows grow while
 // mat_first_ms (== its total: the first row of a materialized answer
 // arrives when the whole answer does) grows with cardinality, and
@@ -19,6 +20,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"qtrade/internal/core"
@@ -100,12 +102,12 @@ func f18Streamed(f *workload.Federation, seed int64) (firstMS, totalMS, peakKB f
 	return firstMS, totalMS, peakKB, rows, nil
 }
 
-// f18Materialized runs the same purchase through the one-shot path. The
-// first row is available only when the whole answer is: firstMS == totalMS
-// by construction, and the buyer buffers the entire answer at once.
+// f18Materialized runs the same purchase with one unbounded batch per leaf.
+// The first row is available only when the whole answer is: firstMS ==
+// totalMS by construction, and the buyer buffers the entire answer at once.
 func f18Materialized(f *workload.Federation, seed int64) (totalMS, peakKB float64, rows int64, err error) {
 	cfg := f.BuyerConfig()
-	cfg.FetchBatchRows = -1
+	cfg.FetchBatchRows = math.MaxInt32
 	res, err := core.Optimize(cfg, f.Comm(), f18Query)
 	if err != nil {
 		return 0, 0, 0, err

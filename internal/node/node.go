@@ -22,7 +22,6 @@ import (
 
 	"qtrade/internal/catalog"
 	"qtrade/internal/cost"
-	"qtrade/internal/exec"
 	"qtrade/internal/expr"
 	"qtrade/internal/ledger"
 	"qtrade/internal/localopt"
@@ -883,14 +882,7 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 	// seller's actual cost behind the quote it bid with, and buyers compare
 	// it against the offer's estimated TotalTime in their trading ledger.
 	t0 := time.Now()
-	var resp trading.ExecResp
-	var sc *serverCursor
-	var err error
-	if req.Stream {
-		resp, sc, err = n.executeStreamOpen(req, sp)
-	} else {
-		resp, err = n.executeInner(req, sp)
-	}
+	resp, sc, err := n.executeOpen(req, sp)
 	wall := msSince(t0)
 	if ob != nil {
 		ob.execMS.Observe(wall)
@@ -916,10 +908,10 @@ func (n *Node) Execute(req trading.ExecReq) (trading.ExecResp, error) {
 			}
 		}
 		// Purchased answers (OfferID set) land in the seller's own ledger;
-		// recursive union-branch executions carry no offer id and stay
-		// quiet. A streamed answer with batches still pending records its
-		// Served event on completion instead (see stream.go), with totals
-		// accumulated across every batch.
+		// ad hoc executions carry no offer id and stay quiet. A streamed
+		// answer with batches still pending records its Served event on
+		// completion instead (see stream.go), with totals accumulated across
+		// every batch.
 		if sc == nil {
 			if ldg := n.ledg.Load(); ldg != nil && req.OfferID != "" {
 				ldg.Served(rfbOfOffer(req.OfferID), n.cfg.ID, req.OfferID, req.SQL,
@@ -959,89 +951,6 @@ func rfbOfOffer(offerID string) string {
 		return parts[1]
 	}
 	return ""
-}
-
-// executeInner is the body of Execute, with sp the node's execute span (nil
-// when tracing is off).
-func (n *Node) executeInner(req trading.ExecReq, sp *obs.Span) (trading.ExecResp, error) {
-	if req.OfferID != "" {
-		n.mu.Lock()
-		sc := n.subcontracts[req.OfferID]
-		n.mu.Unlock()
-		if sc != nil {
-			return n.executeSubcontract(sc, sp, req.Trace)
-		}
-	}
-	stmt, err := sqlparse.Parse(req.SQL)
-	if err != nil {
-		return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	if u, ok := stmt.(*sqlparse.Union); ok {
-		return n.executeUnion(u)
-	}
-	sel := stmt.(*sqlparse.Select)
-	plan.Qualify(sel, n.cfg.Schema)
-	var root plan.Node
-	if len(sel.From) == 1 && n.store.View(sel.From[0].Name) != nil {
-		root, err = n.viewPlan(sel)
-	} else {
-		var res *localopt.Result
-		res, err = localopt.Optimize(sel, n.cfg.Schema, n.store, n.cfg.Cost)
-		if err == nil {
-			root = res.Best.Plan
-		}
-	}
-	if err != nil {
-		return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	ex := &exec.Executor{Store: n.store}
-	result, err := ex.Run(root)
-	if err != nil {
-		return trading.ExecResp{}, fmt.Errorf("node %s: %w", n.cfg.ID, err)
-	}
-	specs, err := OutputSpecs(sel, n.cfg.Schema, n.store)
-	if err != nil {
-		// Fall back to the executed schema with unknown kinds.
-		specs = make([]trading.ColSpec, len(result.Cols))
-		for i, c := range result.Cols {
-			specs[i] = trading.ColSpec{Table: c.Table, Name: c.Name}
-		}
-	}
-	return trading.ExecResp{Cols: specs, Rows: result.Rows}, nil
-}
-
-// executeUnion evaluates a UNION [ALL] chain by running each branch and
-// concatenating (deduplicating for plain UNION).
-func (n *Node) executeUnion(u *sqlparse.Union) (trading.ExecResp, error) {
-	var out trading.ExecResp
-	seen := map[string]bool{}
-	for i, sel := range u.Inputs {
-		resp, err := n.Execute(trading.ExecReq{SQL: sel.SQL()})
-		if err != nil {
-			return trading.ExecResp{}, err
-		}
-		if i == 0 {
-			out.Cols = resp.Cols
-		} else if len(resp.Cols) != len(out.Cols) {
-			return trading.ExecResp{}, fmt.Errorf("node %s: union branches have different widths (%d vs %d)",
-				n.cfg.ID, len(resp.Cols), len(out.Cols))
-		}
-		for _, r := range resp.Rows {
-			if !u.All {
-				idx := make([]int, len(r))
-				for k := range idx {
-					idx[k] = k
-				}
-				key := value.Key(r, idx)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-			}
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out, nil
 }
 
 // viewPlan builds the execution plan of a compensation query over a local

@@ -14,15 +14,16 @@ import (
 	"qtrade/internal/value"
 )
 
-// This file is the seller side of the chunked fetch protocol. An ExecReq
-// with Stream set opens the purchased query as a cursor pipeline and ships
-// the first batch; when more remains, the cursor is parked in a bounded
-// registry under a continuation token and the buyer pulls the rest batch by
-// batch (ExecReq.Cursor/Seq), closes early (CloseCursor), or abandons it —
-// in which case eviction reclaims the seller-side state. Continuations are
-// idempotent per Seq so the buyer's fault policy can retry a lost batch
-// without skipping rows, and the ledger's Served event fires once per
-// streamed answer, on completion, with totals accumulated across batches.
+// This file is the seller side of query execution. Every ExecReq opens the
+// purchased query as a cursor pipeline; a one-shot request drains it into
+// one reply, and a request with Stream set ships the first batch. When more
+// remains, the cursor is parked in a bounded registry under a continuation
+// token and the buyer pulls the rest batch by batch (ExecReq.Cursor/Seq),
+// closes early (CloseCursor), or abandons it — in which case eviction
+// reclaims the seller-side state. Continuations are idempotent per Seq so
+// the buyer's fault policy can retry a lost batch without skipping rows, and
+// the ledger's Served event fires once per streamed answer, on completion,
+// with totals accumulated across batches.
 
 // maxOpenCursors bounds the per-node registry of parked streamed
 // executions. Hitting the bound evicts the oldest cursor: an abandoned
@@ -47,42 +48,15 @@ type serverCursor struct {
 	finished bool             // completed, closed, or evicted
 }
 
-// sliceCursor adapts a materialized answer (a union chain or an assembled
-// subcontract, which have no cursor pipeline of their own) to the cursor
-// contract so chunked delivery stays uniform: execution materializes, but
-// the transfer is still bounded batches.
-type sliceCursor struct {
-	rows  []value.Row
-	pos   int
-	batch int
-}
-
-func (c *sliceCursor) Open() error { return nil }
-
-func (c *sliceCursor) Next() ([]value.Row, error) {
-	if c.pos >= len(c.rows) {
-		return nil, nil
-	}
-	end := c.pos + c.batch
-	if end > len(c.rows) {
-		end = len(c.rows)
-	}
-	b := c.rows[c.pos:end]
-	c.pos = end
-	return b, nil
-}
-
-func (c *sliceCursor) Close() error {
-	c.pos = len(c.rows)
-	return nil
-}
-
-// executeStreamOpen evaluates a purchased query through the cursor pipeline
-// and returns its first batch. When batches remain, the returned
-// serverCursor is non-nil and the caller (Execute) registers it after
-// finalizing the response; a result that fits in one batch costs zero extra
-// round trips and parks nothing.
-func (n *Node) executeStreamOpen(req trading.ExecReq, sp *obs.Span) (trading.ExecResp, *serverCursor, error) {
+// executeOpen evaluates a purchased query through the cursor pipeline. A
+// one-shot request (no Stream) drains the cursor into one reply and parks
+// nothing: union and join cursors may return short batches before they
+// finish, so asking for one large batch would not do. A streamed request
+// gets the first batch; when batches remain, the returned serverCursor is
+// non-nil and the caller (Execute) registers it after finalizing the
+// response, while a result that fits in one batch costs zero extra round
+// trips and parks nothing.
+func (n *Node) executeOpen(req trading.ExecReq, sp *obs.Span) (trading.ExecResp, *serverCursor, error) {
 	batch := req.BatchRows
 	if batch <= 0 {
 		batch = exec.DefaultBatchSize
@@ -90,6 +64,13 @@ func (n *Node) executeStreamOpen(req trading.ExecReq, sp *obs.Span) (trading.Exe
 	cur, cols, err := n.openExecCursor(req, sp, batch)
 	if err != nil {
 		return trading.ExecResp{}, nil, err
+	}
+	if !req.Stream {
+		rows, err := exec.Drain(cur)
+		if err != nil {
+			return trading.ExecResp{}, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+		}
+		return trading.ExecResp{Cols: cols, Rows: rows}, nil, nil
 	}
 	first, err := cur.Next()
 	if err != nil {
@@ -118,10 +99,10 @@ func (n *Node) executeStreamOpen(req trading.ExecReq, sp *obs.Span) (trading.Exe
 	return resp, sc, nil
 }
 
-// openExecCursor builds the cursor pipeline for a purchased query: the same
-// plan construction as executeInner, but opened instead of drained. Unions
-// and subcontract assemblies have no streaming pipeline — they materialize
-// as before and chunk only the transfer.
+// openExecCursor builds and opens the cursor pipeline for a purchased query:
+// a SELECT over local fragments or a local view, a UNION [ALL] chain of
+// them, or a subcontract assembly (which materializes and chunks only the
+// transfer).
 func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span, batch int) (exec.Cursor, []trading.ColSpec, error) {
 	if req.OfferID != "" {
 		n.mu.Lock()
@@ -132,23 +113,38 @@ func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span, batch int) (exe
 			if err != nil {
 				return nil, nil, err
 			}
-			return &sliceCursor{rows: resp.Rows, batch: batch}, resp.Cols, nil
+			return exec.SliceCursor(resp.Rows, batch), resp.Cols, nil
 		}
 	}
 	stmt, err := sqlparse.Parse(req.SQL)
 	if err != nil {
 		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
 	}
+	var root plan.Node
+	var specs []trading.ColSpec
 	if u, ok := stmt.(*sqlparse.Union); ok {
-		resp, err := n.executeUnion(u)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &sliceCursor{rows: resp.Rows, batch: batch}, resp.Cols, nil
+		root, specs, err = n.unionPlan(u)
+	} else {
+		root, specs, err = n.selectPlan(stmt.(*sqlparse.Select))
 	}
-	sel := stmt.(*sqlparse.Select)
+	if err != nil {
+		return nil, nil, err
+	}
+	ex := &exec.Executor{Store: n.store, BatchSize: batch}
+	cur, err := ex.Open(root)
+	if err != nil {
+		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+	}
+	return cur, specs, nil
+}
+
+// selectPlan plans one SELECT block — over a local materialized view, or
+// over local fragments through localopt — and returns it with the column
+// specs its answer ships under.
+func (n *Node) selectPlan(sel *sqlparse.Select) (plan.Node, []trading.ColSpec, error) {
 	plan.Qualify(sel, n.cfg.Schema)
 	var root plan.Node
+	var err error
 	if len(sel.From) == 1 && n.store.View(sel.From[0].Name) != nil {
 		root, err = n.viewPlan(sel)
 	} else {
@@ -170,12 +166,34 @@ func (n *Node) openExecCursor(req trading.ExecReq, sp *obs.Span, batch int) (exe
 			specs[i] = trading.ColSpec{Table: c.Table, Name: c.Name}
 		}
 	}
-	ex := &exec.Executor{Store: n.store, BatchSize: batch}
-	cur, err := ex.Open(root)
-	if err != nil {
-		return nil, nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
+	return root, specs, nil
+}
+
+// unionPlan plans a UNION [ALL] chain as one plan.Union over its branches'
+// plans, deduplicated by a Distinct for plain UNION. Branch widths are
+// checked here, at plan time, so mismatched branches fail even when they
+// produce no rows; the answer ships under the first branch's specs.
+func (n *Node) unionPlan(u *sqlparse.Union) (plan.Node, []trading.ColSpec, error) {
+	inputs := make([]plan.Node, len(u.Inputs))
+	var specs []trading.ColSpec
+	for i, sel := range u.Inputs {
+		root, s, err := n.selectPlan(sel)
+		if err != nil {
+			return nil, nil, err
+		}
+		if i == 0 {
+			specs = s
+		} else if len(s) != len(specs) {
+			return nil, nil, fmt.Errorf("node %s: union branches have different widths (%d vs %d)",
+				n.cfg.ID, len(s), len(specs))
+		}
+		inputs[i] = root
 	}
-	return cur, specs, nil
+	var root plan.Node = &plan.Union{Inputs: inputs}
+	if !u.All {
+		root = &plan.Distinct{Input: root}
+	}
+	return root, specs, nil
 }
 
 // continueStream serves one continuation (or close) of a parked streamed

@@ -250,33 +250,38 @@ func TestStreamServedLedgerOnce(t *testing.T) {
 	}
 }
 
-// Union answers have no cursor pipeline of their own: execution
-// materializes and a sliceCursor chunks the transfer. Reassembled from
-// 1-row batches, the answer must equal the one-shot union, and abandoning
-// it mid-transfer must reclaim the parked slice like any other cursor.
+// A UNION [ALL] chain runs as one union cursor over its branch plans (under
+// a distinct cursor for plain UNION). Reassembled from 1-row batches, the
+// answer must equal the one-shot union, and abandoning it mid-transfer must
+// reclaim the parked cursor like any other.
 func TestStreamUnionChunked(t *testing.T) {
 	n := fullNode(t)
-	q := `
+	for _, q := range []string{`
 		SELECT c.custname FROM customer c WHERE c.office = 'Corfu'
 		UNION ALL
-		SELECT c.custname FROM customer c WHERE c.office = 'Corfu'`
-	want, err := n.Execute(trading.ExecReq{SQL: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := streamAll(t, n, q, 1)
-	if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Cols, want.Cols) {
-		t.Fatalf("streamed union differs:\n  streamed %v\n  one-shot %v", got.Rows, want.Rows)
-	}
-	open, err := n.Execute(trading.ExecReq{SQL: q, Stream: true, BatchRows: 1})
-	if err != nil || !open.More {
-		t.Fatalf("open: %+v %v", open, err)
-	}
-	if _, err := n.Execute(trading.ExecReq{Cursor: open.Cursor, CloseCursor: true}); err != nil {
-		t.Fatal(err)
-	}
-	if n.OpenCursors() != 0 {
-		t.Fatalf("abandoned union cursor still parked: %d", n.OpenCursors())
+		SELECT c.custname FROM customer c WHERE c.office = 'Corfu'`, `
+		SELECT c.office FROM customer c WHERE c.custid < 3
+		UNION
+		SELECT c.office FROM customer c`,
+	} {
+		want, err := n.Execute(trading.ExecReq{SQL: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := streamAll(t, n, q, 1)
+		if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Cols, want.Cols) {
+			t.Fatalf("streamed union differs:\n  streamed %v\n  one-shot %v\n%s", got.Rows, want.Rows, q)
+		}
+		open, err := n.Execute(trading.ExecReq{SQL: q, Stream: true, BatchRows: 1})
+		if err != nil || !open.More {
+			t.Fatalf("open: %+v %v", open, err)
+		}
+		if _, err := n.Execute(trading.ExecReq{Cursor: open.Cursor, CloseCursor: true}); err != nil {
+			t.Fatal(err)
+		}
+		if n.OpenCursors() != 0 {
+			t.Fatalf("abandoned union cursor still parked: %d", n.OpenCursors())
+		}
 	}
 }
 
@@ -358,38 +363,5 @@ func TestStreamContinuationTraced(t *testing.T) {
 	}
 	if _, err := n.Execute(trading.ExecReq{Cursor: open.Cursor, CloseCursor: true}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// sliceCursor adapts materialized answers to the cursor contract; its
-// batching and termination behavior must hold on its own.
-func TestSliceCursorContract(t *testing.T) {
-	rows := []value.Row{
-		{value.NewInt(1)}, {value.NewInt(2)}, {value.NewInt(3)},
-	}
-	c := &sliceCursor{rows: rows, batch: 2}
-	if err := c.Open(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Next()
-	if err != nil || len(b) != 2 {
-		t.Fatalf("first batch: %v %v", b, err)
-	}
-	b, err = c.Next()
-	if err != nil || len(b) != 1 {
-		t.Fatalf("tail batch: %v %v", b, err)
-	}
-	if b, err = c.Next(); err != nil || b != nil {
-		t.Fatalf("exhausted cursor: %v %v", b, err)
-	}
-	c2 := &sliceCursor{rows: rows, batch: 2}
-	if _, err := c2.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if b, err := c2.Next(); err != nil || b != nil {
-		t.Fatalf("closed cursor must be exhausted: %v %v", b, err)
 	}
 }

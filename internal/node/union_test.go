@@ -1,6 +1,8 @@
 package node
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"qtrade/internal/trading"
@@ -34,14 +36,67 @@ func TestExecuteUnionDistinct(t *testing.T) {
 	}
 }
 
+// Mismatched branch widths fail at plan time, so they error on both
+// delivery paths even when every branch filters to zero rows.
 func TestExecuteUnionWidthMismatch(t *testing.T) {
 	n := fullNode(t)
-	_, err := n.Execute(trading.ExecReq{SQL: `
+	for _, q := range []string{`
 		SELECT c.office FROM customer c
 		UNION ALL
-		SELECT c.office, c.custid FROM customer c`})
-	if err == nil {
-		t.Fatal("mismatched union widths must error")
+		SELECT c.office, c.custid FROM customer c`, `
+		SELECT c.office FROM customer c WHERE c.office = 'Paris'
+		UNION ALL
+		SELECT c.office, c.custid FROM customer c WHERE c.office = 'Paris'`,
+	} {
+		for _, stream := range []bool{false, true} {
+			_, err := n.Execute(trading.ExecReq{SQL: q, Stream: stream})
+			if err == nil || !strings.Contains(err.Error(), "union branches have different widths") {
+				t.Fatalf("stream=%v: mismatched union widths must error, got %v\n%s", stream, err, q)
+			}
+		}
+	}
+	if n.OpenCursors() != 0 {
+		t.Fatalf("failed unions left %d cursors parked", n.OpenCursors())
+	}
+}
+
+// A one-shot Execute drains the whole cursor pipeline into one reply even
+// when the pipeline yields many short batches: the answer is complete,
+// carries no continuation, and parks nothing.
+func TestExecuteOneShotDrainsMultiBatchCursor(t *testing.T) {
+	n := fullNode(t)
+	for _, c := range []struct {
+		sql  string
+		rows int
+	}{
+		{"SELECT c.custid, i.invid FROM customer c, invoiceline i WHERE c.custid = i.custid", 5},
+		{"SELECT c.custname FROM customer c UNION ALL SELECT c.custname FROM customer c", 8},
+	} {
+		open, err := n.Execute(trading.ExecReq{SQL: c.sql, Stream: true, BatchRows: 1})
+		if err != nil || !open.More {
+			t.Fatalf("%s: want a multi-batch cursor, got %+v %v", c.sql, open, err)
+		}
+		if _, err := n.Execute(trading.ExecReq{Cursor: open.Cursor, CloseCursor: true}); err != nil {
+			t.Fatal(err)
+		}
+		want, err := n.Execute(trading.ExecReq{SQL: c.sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := n.Execute(trading.ExecReq{SQL: c.sql, BatchRows: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != c.rows || got.More || got.Cursor != "" {
+			t.Fatalf("%s: one-shot reply rows=%d more=%v cursor=%q, want %d rows and no continuation",
+				c.sql, len(got.Rows), got.More, got.Cursor, c.rows)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.Cols, want.Cols) {
+			t.Fatalf("%s: 1-row batches drained to %v, default batches to %v", c.sql, got.Rows, want.Rows)
+		}
+		if n.OpenCursors() != 0 {
+			t.Fatalf("%s: one-shot execution parked %d cursors", c.sql, n.OpenCursors())
+		}
 	}
 }
 

@@ -125,6 +125,26 @@ func TestPublicLifecycleRemoveAndRejoin(t *testing.T) {
 	}
 }
 
+// TestPlanRunAfterBuyerRemoved: a buyer drained and removed between
+// Optimize and Run makes Run fail with an unknown-buyer error, not a panic.
+func TestPlanRunAfterBuyerRemoved(t *testing.T) {
+	fed := buildFed(t)
+	p, err := fed.Optimize("hq", totalsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.DrainNode("hq"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.RemoveNode("hq"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run()
+	if err == nil || !strings.Contains(err.Error(), "qtrade: unknown buyer node") {
+		t.Fatalf("Run after the buyer left: %+v, %v", res, err)
+	}
+}
+
 // TestLedgerRecordsMembershipEvents pins the audit half of the lifecycle:
 // joins, drains, undrains and leaves land as membership events in the
 // federation ledger and in its JSONL export next to the negotiations.

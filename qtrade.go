@@ -402,10 +402,9 @@ func WithBuyerWorkers(n int) OptimizeOption {
 
 // WithFetchBatch sets the row-batch granularity of execution-time fetches:
 // purchased answers stream from sellers in bounded batches instead of
-// shipping whole. 0 (the default) uses the executor's default batch size;
-// n > 0 streams in batches of n rows; a negative n disables streaming and
-// ships each answer as one materialized response. Results are byte-identical
-// at any setting — only first-row latency, peak memory, and message
+// shipping whole. n <= 0 (the default) uses the executor's default batch
+// size; n > 0 streams in batches of n rows. Results are byte-identical at
+// any setting — only first-row latency, peak memory, and message
 // granularity change.
 func WithFetchBatch(n int) OptimizeOption {
 	return func(c *core.Config) { c.FetchBatchRows = n }
@@ -423,17 +422,9 @@ type Plan struct {
 // Optimize runs query-trading optimization from the named buyer node
 // without executing anything.
 func (f *Federation) Optimize(buyer, sql string, opts ...OptimizeOption) (*Plan, error) {
-	f.mu.RLock()
-	bn, ok := f.nodes[buyer]
-	faults := f.faults
-	f.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("qtrade: unknown buyer node %q", buyer)
-	}
-	cfg := core.Config{ID: buyer, Schema: f.schema.sch, Self: bn.inner, Metrics: f.metrics,
-		Faults: faults, Ledger: f.ledger, Directory: f.dir, Flight: f.flight}
-	for _, o := range opts {
-		o(&cfg)
+	cfg, _, err := f.buyerConfig(buyer, opts)
+	if err != nil {
+		return nil, err
 	}
 	// Under a sampling policy the sellers ship their span subtrees back with
 	// the replies (or stay silent when unsampled); attaching the buyer's
@@ -448,6 +439,24 @@ func (f *Federation) Optimize(buyer, sql string, opts ...OptimizeOption) (*Plan,
 		return nil, err
 	}
 	return &Plan{res: res, buyer: buyer, fed: f, tracer: cfg.Tracer, sampled: cfg.Sampling != nil}, nil
+}
+
+// buyerConfig builds the negotiation config of the named buyer node from the
+// federation's shared sinks and the caller's options.
+func (f *Federation) buyerConfig(buyer string, opts []OptimizeOption) (core.Config, *Node, error) {
+	f.mu.RLock()
+	bn, ok := f.nodes[buyer]
+	faults := f.faults
+	f.mu.RUnlock()
+	if !ok {
+		return core.Config{}, nil, fmt.Errorf("qtrade: unknown buyer node %q", buyer)
+	}
+	cfg := core.Config{ID: buyer, Schema: f.schema.sch, Self: bn.inner, Metrics: f.metrics,
+		Faults: faults, Ledger: f.ledger, Directory: f.dir, Flight: f.flight}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg, bn, nil
 }
 
 // Explain renders the plan tree with the purchased offers.
@@ -485,11 +494,16 @@ type Result struct {
 // Run executes the plan: purchased answers are fetched from their sellers,
 // local operators run at the buyer.
 func (p *Plan) Run() (*Result, error) {
+	bn := p.fed.Node(p.buyer)
+	if bn == nil {
+		// The buyer was removed between Optimize and Run.
+		return nil, fmt.Errorf("qtrade: unknown buyer node %q", p.buyer)
+	}
 	if p.tracer != nil && !p.sampled {
 		p.fed.setNodeTracer(p.tracer)
 		defer p.fed.setNodeTracer(nil)
 	}
-	ex := &exec.Executor{Store: p.fed.Node(p.buyer).inner.Store()}
+	ex := &exec.Executor{Store: bn.inner.Store()}
 	tr := p.tracer
 	if p.sampled && !p.res.TraceCtx.Sampled {
 		tr = nil // unsampled negotiation: execution stays untraced too
@@ -498,6 +512,12 @@ func (p *Plan) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return toResult(res), nil
+}
+
+// toResult converts an executed answer to the public Result: columns named
+// "table.column" (or bare when unqualified), values as Go types.
+func toResult(res *exec.Result) *Result {
 	out := &Result{}
 	for _, c := range res.Cols {
 		name := c.Name
@@ -513,7 +533,7 @@ func (p *Plan) Run() (*Result, error) {
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return out
 }
 
 func toAny(v value.Value) any {
@@ -543,17 +563,9 @@ func (f *Federation) Query(buyer, sql string, opts ...OptimizeOption) (*Result, 
 // purchased seller fails between negotiation and delivery, the buyer
 // re-optimizes around it and retries, up to maxRetries times.
 func (f *Federation) QueryWithRecovery(buyer, sql string, maxRetries int, opts ...OptimizeOption) (*Result, error) {
-	f.mu.RLock()
-	bn, ok := f.nodes[buyer]
-	faults := f.faults
-	f.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("qtrade: unknown buyer node %q", buyer)
-	}
-	cfg := core.Config{ID: buyer, Schema: f.schema.sch, Self: bn.inner, Metrics: f.metrics,
-		Faults: faults, Ledger: f.ledger, Directory: f.dir, Flight: f.flight}
-	for _, o := range opts {
-		o(&cfg)
+	cfg, bn, err := f.buyerConfig(buyer, opts)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Tracer != nil && cfg.Sampling == nil {
 		f.setNodeTracer(cfg.Tracer)
@@ -564,22 +576,7 @@ func (f *Federation) QueryWithRecovery(buyer, sql string, maxRetries int, opts .
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	for _, c := range out.Cols {
-		name := c.Name
-		if c.Table != "" {
-			name = c.Table + "." + c.Name
-		}
-		res.Columns = append(res.Columns, name)
-	}
-	for _, r := range out.Rows {
-		row := make([]any, len(r))
-		for i, v := range r {
-			row[i] = toAny(v)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return toResult(out), nil
 }
 
 // DrainNode begins a graceful departure: the node refuses new buyer-originated
