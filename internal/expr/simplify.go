@@ -188,8 +188,12 @@ func dedupAnd(e Expr) Expr {
 	if len(conj) <= 1 {
 		return e
 	}
+	type keyed struct {
+		key string
+		e   Expr
+	}
 	seen := map[string]bool{}
-	var kept []Expr
+	var kept []keyed
 	for _, c := range conj {
 		if b, ok := litBool(c); ok {
 			if !b {
@@ -200,14 +204,19 @@ func dedupAnd(e Expr) Expr {
 		s := c.String()
 		if !seen[s] {
 			seen[s] = true
-			kept = append(kept, c)
+			kept = append(kept, keyed{s, c})
 		}
 	}
 	if len(kept) == 0 {
 		return TrueExpr()
 	}
-	sort.SliceStable(kept, func(i, j int) bool { return kept[i].String() < kept[j].String() })
-	return And(kept)
+	// Keys are distinct after deduplication, so this order is total.
+	sort.Slice(kept, func(i, j int) bool { return kept[i].key < kept[j].key })
+	out := make([]Expr, len(kept))
+	for i, k := range kept {
+		out[i] = k.e
+	}
+	return And(out)
 }
 
 // RenameTables rewrites every column qualifier through the mapping (old

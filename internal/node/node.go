@@ -78,11 +78,12 @@ type Config struct {
 	// gating them could deadlock two mutually subcontracting nodes that each
 	// hold their last admission slot while waiting on the other.
 	MaxInflightRFBs int
-	// PriceCacheSize caps the node's price cache: memoized rewrite + DP
-	// pricing results keyed by canonical query text and the store's
-	// data/stats/cost-model versions, so repeated negotiation iterations
-	// re-price only through the strategy module. 0 = 256 entries, negative
-	// disables the cache.
+	// PriceCacheSize caps the node's price cache: the node's whole valuation
+	// of a requested query (parse, rewrite, DP partials and unpriced offer
+	// templates, or a negative entry when it cannot bid) keyed by the wire
+	// SQL and the store's data/stats/cost-model versions, so repeated
+	// negotiation iterations re-price only through the strategy module.
+	// 0 = 256 entries, negative disables the cache.
 	PriceCacheSize int
 	// LoadAwarePricing folds the node's live load — executions in flight
 	// plus admitted and queued Depth-0 RFBs, normalized by Workers — into
@@ -434,131 +435,169 @@ func (n *Node) offersFor(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span,
 	return offers
 }
 
-// priceQuery is the body of offersFor; the second return reports whether
-// the rewrite+DP valuation came from the price cache.
+// priceQuery is the body of offersFor: value the query (from the price
+// cache when it holds this query under the current world state), then emit
+// that valuation's offers for this RFB. The second return reports whether
+// the valuation came from the price cache.
 func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span, ob *nodeObs, ldg *ledger.Ledger) ([]trading.Offer, bool) {
-	sel, err := sqlparse.ParseSelect(qr.SQL)
-	if err != nil {
-		return nil, false
+	e, cached := n.valueQuery(qr.SQL, sp, ob, ldg)
+	if e.Negative() {
+		return nil, cached
 	}
-	plan.Qualify(sel, n.cfg.Schema)
-	ids := &offerIDGen{prefix: n.cfg.ID + "/" + rfb.RFBID + "/" + qr.QID}
+	return n.emitOffers(rfb, qr, e, sp, ob), cached
+}
 
-	// The rewrite + modified-DP walk is the expensive part of pricing; look
-	// it up in the price cache first. The key carries the store's data epoch,
-	// stats version and the cost-model hash, so any mutation since the entry
-	// was computed makes it unreachable — a hit is never stale. Strategy
-	// pricing below always runs fresh: margins adapt between rounds.
-	var (
-		rw  *rewrite.Rewritten
-		res *localopt.Result
-		key pricecache.Key
-	)
-	cached := false
-	if n.prices != nil {
-		key = pricecache.Key{
-			SQL:          sel.SQL(),
-			Epoch:        n.store.Epoch(),
-			StatsVersion: n.store.StatsVersion(),
-			CostHash:     n.costHash,
-		}
-		if e, ok := n.prices.Get(key); ok {
-			rw, res, cached = e.Rewritten, e.Result, true
-			if ob != nil {
-				ob.cacheHits.Inc()
-			}
-		} else if ob != nil {
-			ob.cacheMisses.Inc()
-		}
+// valueQuery returns the node's valuation of one requested query, looking
+// it up in the price cache first. The key carries the store's data epoch,
+// stats version and the cost-model hash, so any mutation since the entry
+// was computed makes it unreachable — a hit is never stale. A hit skips
+// parsing, rewriting, the DP and offer construction alike; only emitOffers
+// runs per RFB.
+func (n *Node) valueQuery(sqlText string, sp *obs.Span, ob *nodeObs, ldg *ledger.Ledger) (pricecache.Entry, bool) {
+	if n.prices == nil {
+		return n.appraise(sqlText, sp, ob, ldg), false
 	}
-	if cached {
+	key := pricecache.Key{
+		SQL:          sqlText,
+		Epoch:        n.store.Epoch(),
+		StatsVersion: n.store.StatsVersion(),
+		CostHash:     n.costHash,
+	}
+	if e, ok := n.prices.Get(key); ok {
+		if ob != nil {
+			ob.cacheHits.Inc()
+		}
 		dpSp := sp.Child("dp-pricing")
 		dpSp.Set("cache", "hit")
-		dpSp.Set("partials", len(res.Partials))
+		if !e.Negative() {
+			dpSp.Set("partials", len(e.Result.Partials))
+		}
 		dpSp.End()
+		return e, true
+	}
+	if ob != nil {
+		ob.cacheMisses.Inc()
+	}
+	e := n.appraise(sqlText, sp, ob, ldg)
+	if ev := n.prices.Put(key, e); ev > 0 && ob != nil {
+		ob.cacheEvictions.Add(int64(ev))
+	}
+	return e, false
+}
+
+// appraise computes a valuation from scratch: parse and qualify the query,
+// rewrite it against local fragments, run the modified DP, and build the
+// local offer templates. It never calls the strategy module, so a cached
+// valuation leaves the strategy's view of pricing unchanged. Any failure
+// yields a negative entry.
+func (n *Node) appraise(sqlText string, sp *obs.Span, ob *nodeObs, ldg *ledger.Ledger) pricecache.Entry {
+	sel, err := sqlparse.ParseSelect(sqlText)
+	if err != nil {
+		return pricecache.Entry{}
+	}
+	plan.Qualify(sel, n.cfg.Schema)
+	var t0 time.Time
+	if ob != nil || ldg != nil {
+		t0 = time.Now()
+	}
+	rwSp := sp.Child("rewrite")
+	rw, err := rewrite.ForSeller(sel, n.cfg.Schema, n.store)
+	if err != nil {
+		rwSp.Set("error", err)
+	}
+	rwSp.End()
+	if ob != nil {
+		ob.rewriteMS.Observe(msSince(t0))
+	}
+	if ldg != nil {
+		ldg.ObservePhase(ledger.PhaseRewrite, msSince(t0))
+	}
+	if err != nil {
+		return pricecache.Entry{}
+	}
+	if ob != nil {
+		t0 = time.Now()
+	}
+	dpSp := sp.Child("dp-pricing")
+	if n.prices != nil {
+		dpSp.Set("cache", "miss")
+	}
+	res, err := localopt.Optimize(rw.Sel, n.cfg.Schema, n.store, n.cfg.Cost)
+	if err != nil {
+		dpSp.Set("error", err)
 	} else {
-		var t0 time.Time
-		if ob != nil || ldg != nil {
-			t0 = time.Now()
+		dpSp.Set("partials", len(res.Partials))
+	}
+	dpSp.End()
+	if ob != nil {
+		ob.dpMS.Observe(msSince(t0))
+	}
+	if err != nil {
+		return pricecache.Entry{}
+	}
+	e := pricecache.Entry{Sel: sel, Rewritten: rw, Result: res}
+	origHasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
+	for _, p := range res.Partials {
+		if t, err := n.partialTemplate(rw, p, origHasAgg, len(sel.From)); err == nil {
+			e.Offers = append(e.Offers, t)
 		}
-		rwSp := sp.Child("rewrite")
-		rw, err = rewrite.ForSeller(sel, n.cfg.Schema, n.store)
-		if err != nil {
-			rwSp.Set("error", err)
+	}
+	if !n.cfg.DisableViews {
+		e.Offers = append(e.Offers, n.viewTemplates(sel)...)
+	}
+	if origHasAgg && rw.Stripped && len(rw.Dropped) == 0 && !n.cfg.DisableAggPush {
+		if t, ok := n.partialAggTemplate(sel, rw, res); ok {
+			e.Offers = append(e.Offers, t)
 		}
-		rwSp.End()
-		if ob != nil {
-			ob.rewriteMS.Observe(msSince(t0))
-		}
-		if ldg != nil {
-			ldg.ObservePhase(ledger.PhaseRewrite, msSince(t0))
-		}
-		if err != nil {
-			return nil, false
-		}
-		if ob != nil {
-			t0 = time.Now()
-		}
-		dpSp := sp.Child("dp-pricing")
-		if n.prices != nil {
-			dpSp.Set("cache", "miss")
-		}
-		res, err = localopt.Optimize(rw.Sel, n.cfg.Schema, n.store, n.cfg.Cost)
-		if err != nil {
-			dpSp.Set("error", err)
-		} else {
-			dpSp.Set("partials", len(res.Partials))
-		}
-		dpSp.End()
-		if ob != nil {
-			ob.dpMS.Observe(msSince(t0))
-		}
-		if err != nil {
-			return nil, false
-		}
-		if n.prices != nil {
-			if ev := n.prices.Put(key, pricecache.Entry{Rewritten: rw, Result: res}); ev > 0 && ob != nil {
-				ob.cacheEvictions.Add(int64(ev))
+	}
+	return e
+}
+
+// emitOffers turns a valuation into this RFB's offers, in the pricing walk's
+// order: ids are minted for the DP partials, the view offers, the fresh
+// subcontract offers and the partial-aggregate offer in that order, and
+// every offer is priced through the strategy module in the same order.
+// Emitted offers share the templates' read-only Bindings, Parts and Cols.
+func (n *Node) emitOffers(rfb trading.RFB, qr trading.QueryRequest, e pricecache.Entry, sp *obs.Span, ob *nodeObs) []trading.Offer {
+	ids := &offerIDGen{prefix: n.cfg.ID + "/" + rfb.RFBID + "/" + qr.QID}
+	cands := make([]trading.Offer, 0, len(e.Offers))
+	emit := func(ts []pricecache.Template) {
+		for _, t := range ts {
+			o := t.Offer
+			o.OfferID = ids.next(t.Kind)
+			o.RFBID, o.QID = rfb.RFBID, qr.QID
+			o.Price = n.cfg.Strategy.Price(qr.QID, t.Truth)
+			cands = append(cands, o)
+			if ob == nil {
+				continue
+			}
+			switch t.Kind {
+			case kindPartial:
+				ob.offersPriced.Inc()
+			case kindView:
+				ob.offersView.Inc()
+			case kindPartialAgg:
+				ob.offersPartialAgg.Inc()
 			}
 		}
 	}
-	origHasAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
-	fullBindings := len(sel.From)
-	var cands []trading.Offer
-	for _, p := range res.Partials {
-		o, err := n.offerFromPartial(rfb, qr, rw, p, origHasAgg, fullBindings, ids)
-		if err != nil {
-			continue
-		}
-		cands = append(cands, o)
+	// Subcontract offers come between the view offers and the
+	// partial-aggregate offer, which is always the last template.
+	local, agg := e.Offers, []pricecache.Template(nil)
+	if k := len(local); k > 0 && local[k-1].Kind == kindPartialAgg {
+		local, agg = local[:k-1], local[k-1:]
 	}
-	if ob != nil {
-		ob.offersPriced.Add(int64(len(cands)))
-	}
-	if !n.cfg.DisableViews {
-		vo := n.viewOffers(rfb, qr, sel, ids)
-		if ob != nil {
-			ob.offersView.Add(int64(len(vo)))
-		}
-		cands = append(cands, vo...)
-	}
+	emit(local)
 	if n.cfg.SubcontractPeers != nil && rfb.Depth == 0 {
 		scSp := sp.Child("subcontract")
-		so := n.subcontractOffers(rfb, qr, sel, rw, res.Partials, scSp, ids)
+		so := n.subcontractOffers(rfb, qr, e.Sel, e.Rewritten, e.Result.Partials, scSp, ids)
 		scSp.End()
 		if ob != nil {
 			ob.offersSubcontract.Add(int64(len(so)))
 		}
 		cands = append(cands, so...)
 	}
-	if origHasAgg && rw.Stripped && len(rw.Dropped) == 0 && !n.cfg.DisableAggPush {
-		if o, ok := n.partialAggOffer(rfb, qr, sel, rw, res, ids); ok {
-			if ob != nil {
-				ob.offersPartialAgg.Inc()
-			}
-			cands = append(cands, o)
-		}
-	}
+	emit(agg)
 	// Cap by truthful value, cheapest first, keeping the widest coverage
 	// offers regardless (they are what the buyer most needs).
 	sort.SliceStable(cands, func(i, j int) bool {
@@ -570,13 +609,21 @@ func (n *Node) priceQuery(rfb trading.RFB, qr trading.QueryRequest, sp *obs.Span
 	if len(cands) > n.cfg.MaxOffersPerQuery {
 		cands = cands[:n.cfg.MaxOffersPerQuery]
 	}
-	return cands, cached
+	return cands
 }
 
-func (n *Node) offerFromPartial(rfb trading.RFB, qr trading.QueryRequest, rw *rewrite.Rewritten, p *localopt.Partial, origHasAgg bool, fullBindings int, ids *offerIDGen) (trading.Offer, error) {
+// Offer-id kinds of the local offer templates (subcontract offers, minted
+// per RFB, use "s").
+const (
+	kindPartial    = "o"
+	kindView       = "v"
+	kindPartialAgg = "a"
+)
+
+func (n *Node) partialTemplate(rw *rewrite.Rewritten, p *localopt.Partial, origHasAgg bool, fullBindings int) (pricecache.Template, error) {
 	cols, err := OutputSpecs(p.SQL, n.cfg.Schema, n.store)
 	if err != nil {
-		return trading.Offer{}, err
+		return pricecache.Template{}, err
 	}
 	parts := map[string][]string{}
 	coverage := 0.0
@@ -596,32 +643,30 @@ func (n *Node) offerFromPartial(rfb trading.RFB, qr trading.QueryRequest, rw *re
 	}
 	offerHasAgg := p.SQL.HasAggregates() || len(p.SQL.GroupBy) > 0
 	props := n.valuation(p.Cost, p.Rows, p.Bytes, coverage)
-	truth := trading.TruthScore(n.cfg.Weights, props)
-	o := trading.Offer{
-		OfferID:  ids.next("o"),
-		RFBID:    rfb.RFBID,
-		QID:      qr.QID,
-		SellerID: n.cfg.ID,
-		SQL:      p.SQL.SQL(),
-		Bindings: p.Bindings,
-		Parts:    parts,
-		Complete: rw.Complete && len(p.Bindings) == fullBindings,
-		Stripped: origHasAgg && !offerHasAgg,
-		Cols:     cols,
-		Props:    props,
-		Price:    n.cfg.Strategy.Price(qr.QID, truth),
-	}
-	return o, nil
+	return pricecache.Template{
+		Kind: kindPartial,
+		Offer: trading.Offer{
+			SellerID: n.cfg.ID,
+			SQL:      p.SQL.SQL(),
+			Bindings: p.Bindings,
+			Parts:    parts,
+			Complete: rw.Complete && len(p.Bindings) == fullBindings,
+			Stripped: origHasAgg && !offerHasAgg,
+			Cols:     cols,
+			Props:    props,
+		},
+		Truth: trading.TruthScore(n.cfg.Weights, props),
+	}, nil
 }
 
-// partialAggOffer offers per-fragment partial aggregates for a stripped
+// partialAggTemplate offers per-fragment partial aggregates for a stripped
 // aggregation query whose aggregates decompose (aggregate pushdown): the
 // buyer merges group totals from disjoint fragments instead of
 // re-aggregating raw rows, cutting the shipped volume to one row per group.
-func (n *Node) partialAggOffer(rfb trading.RFB, qr trading.QueryRequest, sel *sqlparse.Select, rw *rewrite.Rewritten, res *localopt.Result, ids *offerIDGen) (trading.Offer, bool) {
+func (n *Node) partialAggTemplate(sel *sqlparse.Select, rw *rewrite.Rewritten, res *localopt.Result) (pricecache.Template, bool) {
 	d, ok := plan.DecomposeAggregates(sel)
 	if !ok || res.Best == nil {
-		return trading.Offer{}, false
+		return pricecache.Template{}, false
 	}
 	psel := &sqlparse.Select{Limit: -1, From: sel.From, Items: d.PartialItems()}
 	if rw.Sel.Where != nil {
@@ -632,7 +677,7 @@ func (n *Node) partialAggOffer(rfb trading.RFB, qr trading.QueryRequest, sel *sq
 	}
 	cols, err := OutputSpecs(psel, n.cfg.Schema, n.store)
 	if err != nil {
-		return trading.Offer{}, false
+		return pricecache.Template{}, false
 	}
 	full := res.Best
 	groups := full.Rows/2 + 1
@@ -655,31 +700,30 @@ func (n *Node) partialAggOffer(rfb trading.RFB, qr trading.QueryRequest, sel *sq
 		coverage /= float64(len(rw.Parts))
 	}
 	props := n.valuation(execCost, groups, bytes, coverage)
-	truth := trading.TruthScore(n.cfg.Weights, props)
 	var bindings []string
 	for _, tr := range sel.From {
 		bindings = append(bindings, tr.Binding())
 	}
-	return trading.Offer{
-		OfferID:    ids.next("a"),
-		RFBID:      rfb.RFBID,
-		QID:        qr.QID,
-		SellerID:   n.cfg.ID,
-		SQL:        psel.SQL(),
-		Bindings:   bindings,
-		Parts:      rw.Parts,
-		Complete:   rw.Complete,
-		PartialAgg: true,
-		Cols:       cols,
-		Props:      props,
-		Price:      n.cfg.Strategy.Price(qr.QID, truth),
+	return pricecache.Template{
+		Kind: kindPartialAgg,
+		Offer: trading.Offer{
+			SellerID:   n.cfg.ID,
+			SQL:        psel.SQL(),
+			Bindings:   bindings,
+			Parts:      rw.Parts,
+			Complete:   rw.Complete,
+			PartialAgg: true,
+			Cols:       cols,
+			Props:      props,
+		},
+		Truth: trading.TruthScore(n.cfg.Weights, props),
 	}, true
 }
 
-// viewOffers is the seller predicates analyser (§3.5): offer matching
+// viewTemplates is the seller predicates analyser (§3.5): offer matching
 // materialized views at the (small) cost of scanning and shipping them.
-func (n *Node) viewOffers(rfb trading.RFB, qr trading.QueryRequest, sel *sqlparse.Select, ids *offerIDGen) []trading.Offer {
-	var out []trading.Offer
+func (n *Node) viewTemplates(sel *sqlparse.Select) []pricecache.Template {
+	var out []pricecache.Template
 	for _, m := range views.BestMatches(sel, n.store) {
 		v := n.store.View(m.View.Name)
 		if v == nil || v.Stats == nil {
@@ -696,7 +740,6 @@ func (n *Node) viewOffers(rfb trading.RFB, qr trading.QueryRequest, sel *sqlpars
 			execCost += n.cfg.Cost.Aggregate(rows, rows/2+1)
 		}
 		props := n.valuation(execCost, rows, bytes, 1)
-		truth := trading.TruthScore(n.cfg.Weights, props)
 		var bindings []string
 		for _, tr := range sel.From {
 			bindings = append(bindings, tr.Binding())
@@ -705,19 +748,19 @@ func (n *Node) viewOffers(rfb trading.RFB, qr trading.QueryRequest, sel *sqlpars
 		for _, tr := range sel.From {
 			parts[strings.ToLower(tr.Binding())] = n.cfg.Schema.PartitionIDs(tr.Name)
 		}
-		out = append(out, trading.Offer{
-			OfferID:  ids.next("v"),
-			RFBID:    rfb.RFBID,
-			QID:      qr.QID,
-			SellerID: n.cfg.ID,
-			SQL:      m.Comp.SQL(),
-			Bindings: bindings,
-			Parts:    parts,
-			Complete: true,
-			FromView: true,
-			Cols:     cols,
-			Props:    props,
-			Price:    n.cfg.Strategy.Price(qr.QID, truth),
+		out = append(out, pricecache.Template{
+			Kind: kindView,
+			Offer: trading.Offer{
+				SellerID: n.cfg.ID,
+				SQL:      m.Comp.SQL(),
+				Bindings: bindings,
+				Parts:    parts,
+				Complete: true,
+				FromView: true,
+				Cols:     cols,
+				Props:    props,
+			},
+			Truth: trading.TruthScore(n.cfg.Weights, props),
 		})
 	}
 	return out

@@ -23,8 +23,8 @@ type nodeObs struct {
 	rewritesEmpty     *obs.Counter // queries the node could not bid on
 	execs             *obs.Counter // purchased answers executed
 
-	cacheHits         *obs.Counter // price-cache hits (rewrite+DP skipped)
-	cacheMisses       *obs.Counter // price-cache misses (full pricing ran)
+	cacheHits         *obs.Counter // price-cache hits (cached valuation reused, negative ones included)
+	cacheMisses       *obs.Counter // price-cache misses (full valuation ran)
 	cacheEvictions    *obs.Counter // price-cache LRU evictions
 	pricingsCoalesced *obs.Counter // duplicate (RFB, query) pricings single-flighted
 

@@ -1,18 +1,31 @@
-// Package pricecache memoizes the expensive half of seller-side bid
-// pricing. The QT buyer re-issues largely overlapping query sets across
-// negotiation iterations (every iteration's RFB repeats the still-open
-// queries of the previous one), so a seller that keeps the partition
-// restriction rewrite and the modified-DP partials of a query around can
-// answer the repeat RFB at strategy-pricing cost only.
+// Package pricecache memoizes the seller's valuation of requested queries.
+// In the paper's seller (§3.4–3.5) an offer is a pure function of the
+// requested query, the node's fragments and statistics, and its cost model;
+// only the strategy module's margin moves between rounds. The QT buyer
+// re-issues largely overlapping query sets across negotiation iterations
+// (every iteration's RFB repeats the still-open queries of the previous
+// one), so a seller that keeps its whole valuation of a query — parse,
+// partition-restriction rewrite, modified-DP partials and the offers built
+// from them — answers the repeat RFB at id-minting and strategy-pricing
+// cost only.
 //
-// Entries are keyed by the canonical (qualified) SQL of the requested query
-// *and* the versions of everything the cached computation read: the store's
-// data epoch, its statistics version, and a hash of the node's cost-model
+// Entries are keyed by the wire SQL of the requested query *and* the
+// versions of everything the cached computation read: the store's data
+// epoch, its statistics version, and a hash of the node's cost-model
 // constants. Any store mutation bumps an epoch, which changes the key, which
 // makes every older entry unreachable — a stale price can never be returned,
-// it can only age out of the LRU. Offer prices themselves are NOT cached:
-// strategies are adaptive (competitive margins move between rounds), so the
-// seller re-prices the cached partials through its strategy on every hit.
+// it can only age out of the LRU. A query the node cannot bid on (it does
+// not parse, the node holds none of its relations, the local restriction
+// contradicts it, or the DP finds no plan) is cached too, as a negative
+// entry, so repeated empty rewrites cost one lookup. Offer prices are NOT
+// cached: strategies are adaptive (competitive margins move between rounds,
+// load-aware ones follow the node's load), so the seller prices every
+// template through its strategy on every RFB, hit or miss.
+//
+// Entries are immutable once stored. Offers emitted from a template share
+// its Bindings, Parts and Cols with the cache (and with every other offer
+// emitted from it), so neither the seller nor any buyer may modify them;
+// the trading and buyer code only read them.
 package pricecache
 
 import (
@@ -24,12 +37,13 @@ import (
 	"qtrade/internal/cost"
 	"qtrade/internal/localopt"
 	"qtrade/internal/rewrite"
+	"qtrade/internal/sqlparse"
+	"qtrade/internal/trading"
 )
 
 // Key identifies one priced query under one world state.
 type Key struct {
-	// SQL is the canonical text of the requested query after parsing and
-	// schema qualification (so formatting differences collapse).
+	// SQL is the requested query's text exactly as it arrived on the wire.
 	SQL string
 	// Epoch and StatsVersion are the store counters at pricing time.
 	Epoch        int64
@@ -38,13 +52,33 @@ type Key struct {
 	CostHash uint64
 }
 
-// Entry is the cached computation: the seller rewrite of the query against
-// local fragments plus the modified-DP result holding every optimal partial.
-// Both are treated as immutable by all readers; concurrent pricing workers
-// share them without copying.
+// Entry is the seller's complete valuation of one query: the parsed and
+// schema-qualified query, its seller rewrite against local fragments, the
+// modified-DP result holding every optimal partial, and the local offers
+// built from them. A negative entry (Result == nil) records that the node
+// cannot bid on the query. Entries are treated as immutable by all readers;
+// concurrent pricing workers share them without copying.
 type Entry struct {
+	Sel       *sqlparse.Select
 	Rewritten *rewrite.Rewritten
 	Result    *localopt.Result
+	// Offers holds the local offer templates in pricing-walk order: DP
+	// partials, then view offers, then the partial-aggregate offer.
+	Offers []Template
+}
+
+// Negative reports whether the entry records a query the node cannot bid on.
+func (e Entry) Negative() bool { return e.Result == nil }
+
+// Template is one local offer without its per-RFB fields: OfferID, RFBID,
+// QID and Price are zero and are filled in each time the offer is emitted.
+type Template struct {
+	// Kind is the offer-id kind: "o" DP partial, "v" view, "a" partial
+	// aggregate.
+	Kind  string
+	Offer trading.Offer
+	// Truth is the truthful valuation the strategy module prices from.
+	Truth float64
 }
 
 // Cache is a mutex-guarded LRU of priced queries. The zero value is not

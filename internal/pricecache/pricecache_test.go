@@ -86,6 +86,19 @@ func TestPutExistingUpdates(t *testing.T) {
 	}
 }
 
+func TestNegativeEntry(t *testing.T) {
+	c := New(2)
+	k := key("SELECT x.a FROM nowhere x", 1, 1)
+	c.Put(k, Entry{})
+	got, ok := c.Get(k)
+	if !ok || !got.Negative() {
+		t.Fatalf("negative entry not returned as negative: ok=%v %+v", ok, got)
+	}
+	if entry().Negative() {
+		t.Fatal("entry with a DP result reported negative")
+	}
+}
+
 func TestHashModelDistinguishesModels(t *testing.T) {
 	a, b := cost.Default(), cost.Default()
 	if HashModel(a) != HashModel(b) {

@@ -181,9 +181,12 @@ func WithMaxInflightRFBs(n int) NodeOption {
 	return func(c *node.Config) { c.MaxInflightRFBs = n }
 }
 
-// WithPriceCache sizes the node's price cache, which memoizes the rewrite +
-// DP half of bid pricing across negotiation iterations (entries are keyed by
-// the store's data/stats versions, so they can never go stale). size 0 keeps
+// WithPriceCache sizes the node's price cache, which memoizes the node's
+// whole valuation of each requested query across negotiation iterations:
+// wire SQL, whole valuation (parse, rewrite, DP and unpriced offers),
+// negative entries for queries it cannot bid on. Entries are keyed by the
+// store's data/stats versions, so they can never go stale, and the strategy
+// module still prices every offer on every request. size 0 keeps
 // the default (256 entries); negative disables caching. Hit/miss/eviction
 // counts appear in Federation.MetricsSnapshot as node.<id>.pricecache_*.
 func WithPriceCache(size int) NodeOption {
